@@ -298,7 +298,6 @@ def generate_spec(seed: int, index: int) -> dict:
             "recovery": str(rng.choice(["freeze", "adopt", "none"], p=[0.4, 0.4, 0.2])),
             "drop_probability": float(rng.choice([0.0, 0.0, 0.02, 0.08])),
             "duplicate_probability": float(rng.choice([0.0, 0.0, 0.0, 0.05])),
-            "queue_backend": str(rng.choice(["auto", "heap", "calendar"])),
             "partition_method": str(rng.choice(["bfs", "contiguous"])),
             "delivery": delivery,
             "relax_backend": str(rng.choice(backends)),

@@ -292,6 +292,8 @@ def _run_shared(spec: dict, built: dict) -> tuple:
 
 
 def _run_distributed(spec: dict, built: dict) -> tuple:
+    # Keys no run option reads any more (older corpus files carry
+    # "queue_backend") are ignored, so those reproducers replay unchanged.
     d = spec["distributed"]
     tracer = Tracer(trace_reads=True)
     sim = DistributedJacobi(
@@ -315,7 +317,6 @@ def _run_distributed(spec: dict, built: dict) -> tuple:
         eager=bool(d.get("eager", False)),
         termination=d.get("termination", "count"),
         tracer=tracer,
-        queue_backend=d.get("queue_backend", "auto"),
         delivery=d.get("delivery", "auto"),
         relax_backend=d.get("relax_backend", "auto"),
     )

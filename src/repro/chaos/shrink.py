@@ -123,7 +123,6 @@ def _config_candidates(spec: dict) -> list:
             ("termination", "count"),
             ("drop_probability", 0.0),
             ("duplicate_probability", 0.0),
-            ("queue_backend", "auto"),
             ("delivery", "auto"),
             ("relax_backend", "auto"),
             ("reliable", False),

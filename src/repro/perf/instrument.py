@@ -36,7 +36,7 @@ class PerfCounters:
     full_recomputes: int = 0
     events: int = 0
     #: Delivery-batching (message coalescing) counters, populated by the
-    #: distributed executor when ``delivery="batch"`` is active: arrivals
+    #: distributed executor when ``delivery="batched"`` is active: arrivals
     #: superseded before their flush, flush passes that applied at least
     #: one edge, edges scattered across all flushes, the widest single
     #: flush, and version-ledger entries scattered into ``ghost_ver``.

@@ -25,10 +25,9 @@ NumPy path it replaces, so trajectories stay byte-for-byte equal to the
   ``x[rows]`` store, and the :class:`~repro.matrices.sparse.ColumnScatterPlan`
   residual update (per-entry products, bin accumulation in storage order,
   one full-span subtract).
-* ``repro_relax_batch`` is the stacked/turbo inner block relax: one call
-  relaxes (and optionally commits) a whole admission batch, member by
-  member in cursor order — the order the batched NumPy phases are proven
-  equivalent to.
+* ``repro_relax_batch`` is the turbo engine's inner block relax: one call
+  relaxes and commits a whole admission batch, member by member in cursor
+  order — the order the batched NumPy phases are proven equivalent to.
 
 The library is compiled with ``-ffp-contract=off`` so the compiler cannot
 fuse the multiply-add chains into FMAs (which would round differently
@@ -143,25 +142,23 @@ void repro_commit_rank(int64_t m, const int64_t *rows,
     }
 }
 
-/* Stacked batch relax: the turbo timeline engine's (and the stacked
- * block loop's) inner block relax. Processes batch members in admission
- * (cursor) order; members are distinct ranks relaxing disjoint x rows,
- * so the sequential per-member loop is bitwise the batched NumPy phases
- * (per-row bin accumulation order and the elementwise chain are
- * member-local either way). Per-rank arrays arrive as uint64 pointer
- * tables indexed by rank id. pend_cat receives the members' pending
- * values back to back.
+/* Batch relax + commit: the turbo timeline engine's inner block relax.
+ * Processes batch members in admission (cursor) order; members are
+ * distinct ranks relaxing disjoint x rows, so the sequential per-member
+ * loop is bitwise the batched NumPy phases (per-row bin accumulation
+ * order and the elementwise chain are member-local either way). Per-rank
+ * arrays arrive as uint64 pointer tables indexed by rank id. pend_cat
+ * receives the members' pending values back to back, and each member's
+ * rows are committed to x before the next member relaxes (the turbo
+ * order is final, and observation can only strike after the last
+ * member).
  *
- * mode 0: relax only — pend_cat is filled, nothing is committed (the
- *         stacked block loop commits per member afterwards, because a
- *         member can still be pushed back onto the heap).
- * mode 1: relax + commit + incremental-residual scatter per member (the
- *         turbo engine: batches are never pushed back, observation can
- *         only strike after the last member's residual update).
- * mode 2: relax + commit, no residual scatter (residual_mode="full").
- * Modes 1/2 reuse lb[:m] to stage dx after the own values are consumed;
- * the next use of lb[:m] is the next relax's own-row gather. */
-void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
+ * scatter != 0: also apply the incremental-residual scatter per member,
+ *               staging dx in lb[:m] after the own values are consumed
+ *               (the next use of lb[:m] is the next relax's own-row
+ *               gather).
+ * scatter == 0: commit only (residual_mode="full"). */
+void repro_relax_batch(int64_t nb, const int64_t *members, int64_t scatter,
                        double *x, double *r_vec, double *pend_cat,
                        const int64_t *m_tab, const int64_t *nnz_tab,
                        const uint64_t *rows_tab, const uint64_t *lb_tab,
@@ -198,32 +195,30 @@ void repro_relax_batch(int64_t nb, const int64_t *members, int64_t mode,
             t = dinv_loc[i] * t;
             pend[i] = lb[i] + t;
         }
-        if (mode != 0) {
-            if (mode == 1) {
-                for (i = 0; i < m; i++) {
-                    double d = pend[i] - lb[i];
-                    x[rows[i]] = pend[i];
-                    lb[i] = d; /* stage dx where own just lived */
-                }
-                int64_t pn = pn_tab[r];
-                if (pn > 0) {
-                    const int64_t *rep = (const int64_t *) rep_tab[r];
-                    const int64_t *loc = (const int64_t *) loc_tab[r];
-                    const double *vals = (const double *) val_tab[r];
-                    double *binc = (double *) binc_tab[r];
-                    int64_t base = base_tab[r], span = span_tab[r];
-                    for (k = 0; k < pn; k++) {
-                        double s = vals[k] * lb[rep[k]];
-                        binc[loc[k]] += s;
-                    }
-                    for (i = 0; i < span; i++)
-                        r_vec[base + i] -= binc[i];
-                    memset(binc, 0, (size_t) span * sizeof(double));
-                }
-            } else {
-                for (i = 0; i < m; i++)
-                    x[rows[i]] = pend[i];
+        if (scatter) {
+            for (i = 0; i < m; i++) {
+                double d = pend[i] - lb[i];
+                x[rows[i]] = pend[i];
+                lb[i] = d; /* stage dx where own just lived */
             }
+            int64_t pn = pn_tab[r];
+            if (pn > 0) {
+                const int64_t *rep = (const int64_t *) rep_tab[r];
+                const int64_t *loc = (const int64_t *) loc_tab[r];
+                const double *vals = (const double *) val_tab[r];
+                double *binc = (double *) binc_tab[r];
+                int64_t base = base_tab[r], span = span_tab[r];
+                for (k = 0; k < pn; k++) {
+                    double s = vals[k] * lb[rep[k]];
+                    binc[loc[k]] += s;
+                }
+                for (i = 0; i < span; i++)
+                    r_vec[base + i] -= binc[i];
+                memset(binc, 0, (size_t) span * sizeof(double));
+            }
+        } else {
+            for (i = 0; i < m; i++)
+                x[rows[i]] = pend[i];
         }
         off += m;
     }

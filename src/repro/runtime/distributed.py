@@ -54,12 +54,7 @@ from repro.partition.partitioner import bfs_bisection_partition, contiguous_part
 from repro.partition.subdomain import DomainDecomposition
 from repro.perf.instrument import PerfCounters
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
-from repro.runtime.engine import (
-    HeapEventQueue,
-    NormalStream,
-    PatternJitterStream,
-    make_event_queue,
-)
+from repro.runtime.engine import HeapEventQueue, NormalStream, PatternJitterStream
 from repro.runtime.machine import HASWELL_CLUSTER, ClusterModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SingularMatrixError
@@ -208,18 +203,19 @@ class DistributedJacobi:
     """
 
     # Below this rank count the block backend's precomputed-timeline
-    # engine loses to the plain stacked heap loop: its per-run setup
-    # (edge maps, width groups, stacked caches) is O(ranks + nnz) but
-    # batches are capped at ``observe_every`` members, so small fleets
-    # never amortize it. Both paths are bitwise-identical, so the
-    # threshold is purely a performance knob.
+    # (turbo) engine loses to the plain block loop: its per-run setup
+    # (edge maps, width groups, per-rank relax caches) is O(ranks + nnz)
+    # but batches are capped at ``observe_every`` members, so small
+    # fleets never amortize it. Both paths are bitwise-identical, so the
+    # threshold is purely a performance knob. Also the rank count at
+    # which ``relax_backend="auto"`` upgrades to the native kernels.
     _TURBO_MIN_RANKS = 96
 
     # Above this many stored nonzeros per rank (on average) the block
-    # backend relaxes rank-at-a-time instead of batch-stacking: big
-    # blocks amortize NumPy call overhead on their own, and the stacked
-    # path's per-batch concatenation of every member's local matrix
-    # turns into the dominant cost at paper scale.
+    # backend stays on the plain block loop instead of the turbo engine:
+    # big blocks amortize NumPy call overhead on their own, and turbo's
+    # per-batch concatenation of every member's local matrix turns into
+    # the dominant cost at paper scale.
     _STACK_MAX_NNZ_PER_RANK = 1024
 
     def __init__(
@@ -523,9 +519,11 @@ class DistributedJacobi:
         for the observer's incremental residual, reusable put-payload
         buffers, and chunked RNG streams — all bit-identical to the
         pre-engine loop, which remains available as
-        ``legacy_engine=True`` (the equivalence-test oracle).
-        ``queue_backend`` selects the event-queue implementation
-        (``"auto"``, ``"heap"`` or ``"calendar"``).
+        ``legacy_engine=True`` (the equivalence-test oracle). Events live
+        in one :class:`~repro.runtime.engine.HeapEventQueue`;
+        ``queue_backend`` is accepted for callers that still pass it, with
+        ``"auto"`` and ``"heap"`` as synonyms for that queue and any other
+        value rejected.
 
         ``delivery`` selects how one-sided puts land (see
         docs/performance.md, "Batched message delivery"):
@@ -562,7 +560,12 @@ class DistributedJacobi:
           are applied in virtual-cursor order, reproducing the two-event
           engine's interleaving. Applies to the plain fast path (no
           faults, no tracing, no reliable puts, no eager/detect/heartbeat
-          machinery, heap backend); elsewhere the flag is inert.
+          machinery, no instrumentation); elsewhere the flag is inert.
+          From ``_TURBO_MIN_RANKS`` ranks up, with at most
+          ``_STACK_MAX_NNZ_PER_RANK`` stored nonzeros per rank, both
+          jitters nonzero and an RNG-free delay model, the block events
+          run on the turbo engine instead: a precomputed per-rank
+          timeline relaxed in admission batches, bit-identical as well.
         * ``"native"`` — the block backend's relax/commit inner kernels
           (and the two-event/general-loop relax when delivery is
           ``"event"``) run as compiled C via :mod:`repro.perf.native`,
@@ -611,6 +614,10 @@ class DistributedJacobi:
         if delivery not in ("auto", "batched", "event"):
             raise ValueError(
                 f"delivery must be 'auto', 'batched' or 'event', got {delivery!r}"
+            )
+        if queue_backend not in ("auto", "heap"):
+            raise ValueError(
+                f"queue_backend must be 'auto' or 'heap', got {queue_backend!r}"
             )
         # Legal relax backends depend on the method: the native kernels
         # (and every non-"event" granularity) reproduce NumPy's operand
@@ -974,7 +981,7 @@ class DistributedJacobi:
                 method=self.method.name,
             )
 
-        queue = make_event_queue(queue_backend, size_hint=4 * n_ranks)
+        queue = HeapEventQueue()
         for rk in ranks:
             queue.push(
                 float(rk.rng.random()) * self.cluster.node.iteration_overhead,
@@ -1421,6 +1428,8 @@ class DistributedJacobi:
             and not may_hang
             and perf is None
         )
+        block_mode = False
+        conv_cursor = None
         if fast:
             # Per-rank pattern streams: in a plain run, a rank's generator
             # is consumed in a fixed per-iteration pattern — one machine
@@ -1451,14 +1460,8 @@ class DistributedJacobi:
             ghosts_of = [rk.ghosts for rk in ranks]
             rows_of = [rk.rows for rk in ranks]
             delivered = 0
-            # The dispatcher commits to the heap backend so it can inline
-            # push/pop on the flat (time, seq, kind, agent, obj) tuples;
-            # calendar-backed runs take the general loop below instead
-            # (identical results — both backends share one pop order).
-            fast = type(queue) is HeapEventQueue
-        block_mode = False
-        conv_cursor = None
-        if fast:
+            # The dispatcher inlines push/pop on the heap's flat
+            # (time, seq, kind, agent, obj) tuples.
             heap = queue._heap
             hpush = heapq.heappush
             hpop = heapq.heappop
@@ -1705,140 +1708,6 @@ class DistributedJacobi:
         # virtual-cursor order — the order their two-event COMMIT seqs
         # (assigned at START pops) would have induced.
         #
-        # Stacked relax: a run of consecutive _COMMIT pops can be
-        # *batched* whenever no batch member's read cursor can still be
-        # affected by an earlier member's commit. A put fired by member i
-        # arrives strictly after its pop time t_i, so member j's cursor
-        # cut is unaffected as long as ts_j <= t_i for every *in-batch
-        # sender* i < j (ranks that never put to j cannot disturb it at
-        # all — on a grid that is all but a handful of neighbors). Each
-        # rank appears at most once (one outstanding commit per rank), so
-        # the k relaxes read disjoint ``x`` rows and write disjoint
-        # scratch. The batch then runs in three phases: every member's
-        # mailbox cut, ONE gather/multiply/bincount over the concatenated
-        # local matrices (global row numbering keeps each row's
-        # accumulation order, so the result is bitwise the per-rank
-        # relax), then the order-sensitive commits/RNG draws/put firing
-        # sequentially in cursor order. Batches are capped at the
-        # observation cadence so convergence can only strike at the last
-        # member, and never split a same-time tie group.
-        #
-        # Stacking (and the turbo engine above it) only pays while rank
-        # blocks are small: the batch concatenates every member's local
-        # matrix, so its cost is O(nnz per batch) of pure memory traffic.
-        # Once blocks carry thousands of nonzeros each, a single rank's
-        # relax already amortizes the NumPy call overhead and the copies
-        # become the bottleneck — paper-scale runs (10^6 rows) are 2-10x
-        # faster per-commit. The cutoff is a pure performance knob; both
-        # paths are bitwise-identical.
-        stacked = (
-            block_mode
-            and not gauss_seidel
-            and self.method.is_scaled
-            and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
-        )
-        if stacked:
-            grow_off = np.zeros(n_ranks + 1, dtype=np.int64)
-            for r in range(n_ranks):
-                grow_off[r + 1] = nrows_loc[r]
-            np.cumsum(grow_off, out=grow_off)
-            n_grows = int(grow_off[-1])
-            st_idx = [lb_off[rk.rank] + rk.local.indices for rk in ranks]
-            st_dat = [rk.local.data for rk in ranks]
-            st_row = [grow_off[rk.rank] + rk.local._row_of_nnz for rk in ranks]
-            st_pos = [
-                np.arange(int(lb_off[r]), int(lb_off[r]) + nrows_loc[r])
-                for r in range(n_ranks)
-            ]
-            st_span = [
-                np.arange(int(grow_off[r]), int(grow_off[r + 1]))
-                for r in range(n_ranks)
-            ]
-            in_nbrs: list[list[int]] = [[] for _ in range(n_ranks)]
-            for rk in ranks:
-                for q, _slots, _rows in rk.send_plan:
-                    in_nbrs[q].append(rk.rank)
-            bt_pop: list = [None] * n_ranks  # in-batch pop time per rank
-            # Steady-state flush: every in-edge usually has exactly one
-            # qualifying record, so the winner scatter can go through one
-            # precomputed concatenated slot array per rank.
-            n_in = [len(in_boxes[r]) for r in range(n_ranks)]
-            in_slot_cat = [
-                np.concatenate([sl for _box, sl in in_boxes[r]])
-                if in_boxes[r]
-                else None
-                for r in range(n_ranks)
-            ]
-            if use_native:
-                # Per-rank pointer tables for the batched native kernel:
-                # uint64 arrays of raw addresses indexed by rank id, read
-                # in C as double**/int64_t** equivalents. The originals
-                # stay referenced through the lists captured above, so the
-                # addresses outlive every call.
-                def _ptr64(arrs):
-                    return np.array(
-                        [a.ctypes.data for a in arrs], dtype=np.uint64
-                    )
-
-                nat_members = np.empty(n_ranks, dtype=np.int64)
-                nat_pend_cat = np.empty(n_grows)
-                nat_m_tab = np.array(nrows_loc, dtype=np.int64)
-                nat_nnz_tab = np.array(
-                    [rk.local.nnz for rk in ranks], dtype=np.int64
-                )
-                nat_rows_tab = _ptr64(nat_rows)
-                nat_lb_tab = _ptr64(loc_buf)
-                nat_data_tab = _ptr64([rk.local.data for rk in ranks])
-                nat_idx_tab = _ptr64([rk.local.indices for rk in ranks])
-                nat_rowid_tab = _ptr64(rowid_loc)
-                nat_b_tab = _ptr64(b_loc)
-                nat_dinv_tab = _ptr64(dinv_loc)
-                if incremental:
-                    nat_pn_tab = np.array(
-                        [int(sp.vals.size) for sp in splans], dtype=np.int64
-                    )
-                    nat_rep_tab = _ptr64([t[0] for t in nat_plan_keep])
-                    nat_loc_tab = _ptr64([t[1] for t in nat_plan_keep])
-                    nat_val_tab = _ptr64([t[2] for t in nat_plan_keep])
-                    nat_base_tab = np.array(
-                        [int(sp.base) for sp in splans], dtype=np.int64
-                    )
-                    nat_span_tab = np.array(
-                        [int(sp.span) for sp in splans], dtype=np.int64
-                    )
-                    nat_binc_tab = _ptr64([t[3] for t in nat_plan_keep])
-                else:
-                    # mode 0/2 never touch the plan tables; zeros suffice.
-                    nat_pn_tab = np.zeros(n_ranks, dtype=np.int64)
-                    nat_rep_tab = np.zeros(n_ranks, dtype=np.uint64)
-                    nat_loc_tab = nat_rep_tab
-                    nat_val_tab = nat_rep_tab
-                    nat_base_tab = nat_pn_tab
-                    nat_span_tab = nat_pn_tab
-                    nat_binc_tab = nat_rep_tab
-                nat_batch_fn = nat.relax_batch
-
-                def nat_relax_batch(members, mode, r_ptr) -> None:
-                    """One compiled call per admission batch (modes 0/1/2)."""
-                    nbm = len(members)
-                    nat_members[:nbm] = members
-                    nat_batch_fn(
-                        nbm, nat_members.ctypes.data, mode, x_ptr, r_ptr,
-                        nat_pend_cat.ctypes.data, nat_m_tab.ctypes.data,
-                        nat_nnz_tab.ctypes.data, nat_rows_tab.ctypes.data,
-                        nat_lb_tab.ctypes.data, nat_data_tab.ctypes.data,
-                        nat_idx_tab.ctypes.data, nat_rowid_tab.ctypes.data,
-                        nat_b_tab.ctypes.data, nat_dinv_tab.ctypes.data,
-                        nat_pn_tab.ctypes.data, nat_rep_tab.ctypes.data,
-                        nat_loc_tab.ctypes.data, nat_val_tab.ctypes.data,
-                        nat_base_tab.ctypes.data, nat_span_tab.ctypes.data,
-                        nat_binc_tab.ctypes.data,
-                    )
-                    if perf is not None:
-                        perf.native_calls += 1
-                        perf.native_rows_relaxed += sum(
-                            nrows_loc[r] for r in members
-                        )
         # Turbo block engine: with both jitters drawn from per-rank
         # pattern streams, a rank's event *schedule* is a fixed
         # recurrence over its own generator — nothing about timing
@@ -1854,15 +1723,44 @@ class DistributedJacobi:
         # picks, observations — while all arithmetic is array work.
         # Exact time ties (measure zero under lognormal jitter) abort
         # to the two-event engine, which orders them via seq stamps.
-        if (
-            stacked
+        #
+        # Turbo relaxes in admission batches: a run of consecutive commits
+        # in that order is *batched* whenever no member's read cursor can
+        # still be affected by an earlier member's commit. A put fired by
+        # member i arrives strictly after its commit time t_i, so member
+        # j's cursor cut is unaffected as long as no in-batch sender's put
+        # reaches ts_j (ranks that never put to j cannot disturb it at all
+        # — on a grid that is all but a handful of neighbors). Each rank
+        # appears at most once, so the k relaxes read disjoint ``x`` rows
+        # and write disjoint scratch. The batch then runs in three phases:
+        # every member's mailbox cut, ONE gather/multiply/bincount over
+        # the concatenated local matrices (global row numbering keeps each
+        # row's accumulation order, so the result is bitwise the per-rank
+        # relax), then the order-sensitive commits, fires and observations
+        # sequentially in cursor order. Batches are capped at the
+        # observation cadence so convergence can only strike at the last
+        # member.
+        #
+        # Batching only pays while rank blocks are small: a batch
+        # concatenates every member's local matrix, so its cost is O(nnz
+        # per batch) of pure memory traffic. Once blocks carry thousands
+        # of nonzeros each, a single rank's relax already amortizes the
+        # NumPy call overhead and the copies become the bottleneck, so
+        # the plain block loop below takes over. Both cutoffs are pure
+        # performance knobs; every path is bitwise-identical.
+        turbo = (
+            block_mode
             and heap
             and not converged
+            and not gauss_seidel
+            and self.method.is_scaled
             and n_ranks >= self._TURBO_MIN_RANKS
+            and A.data.size <= n_ranks * self._STACK_MAX_NNZ_PER_RANK
             and sigma_m > 0
             and sigma_net > 0
             and all(type(fs) is PatternJitterStream for fs in fstreams)
-        ):
+        )
+        if turbo:
             try:
                 exp = math.exp
                 INF = math.inf
@@ -1924,25 +1822,119 @@ class DistributedJacobi:
                         (rl, ne, w, pat, cb_c, sl_c, pc_c, ce_c, mb_c,
                          rngs_g)
                     )
-                # Per-rank relax-plan caches: (rows, parent-pos, global
-                # row) int triples and (compact col, global row) pairs
-                # stacked so a batch needs three concatenations, not
-                # six; scatter-plan arrays unpacked out of their slots.
-                i3 = [
-                    np.stack([rows_of[r], st_pos[r], st_span[r]])
-                    for r in range(n_ranks)
-                ]
-                i2 = [
-                    np.stack([st_idx[r], st_row[r]])
-                    for r in range(n_ranks)
-                ]
-                if incremental:
-                    sp_rep = [splans[r].rep_idx for r in range(n_ranks)]
-                    sp_loc = [splans[r].local for r in range(n_ranks)]
-                    sp_val = [splans[r].vals for r in range(n_ranks)]
-                    sp_base = [splans[r].base for r in range(n_ranks)]
-                    sp_span = [splans[r].span for r in range(n_ranks)]
-                    sp_n = [splans[r].vals.size for r in range(n_ranks)]
+                in_nbrs: list[list[int]] = [[] for _ in range(n_ranks)]
+                for rk in ranks:
+                    for q, _slots, _rows in rk.send_plan:
+                        in_nbrs[q].append(rk.rank)
+                n_grows = sum(nrows_loc)
+                if use_native:
+                    # Per-rank pointer tables for the batched native
+                    # kernel: uint64 arrays of raw addresses indexed by
+                    # rank id, read in C as double**/int64_t**
+                    # equivalents. The originals stay referenced through
+                    # the lists captured above, so the addresses outlive
+                    # every call.
+                    def _ptr64(arrs):
+                        return np.array(
+                            [a.ctypes.data for a in arrs], dtype=np.uint64
+                        )
+
+                    nat_members = np.empty(n_ranks, dtype=np.int64)
+                    nat_pend_cat = np.empty(n_grows)
+                    nat_m_tab = np.array(nrows_loc, dtype=np.int64)
+                    nat_nnz_tab = np.array(
+                        [rk.local.nnz for rk in ranks], dtype=np.int64
+                    )
+                    nat_rows_tab = _ptr64(nat_rows)
+                    nat_lb_tab = _ptr64(loc_buf)
+                    nat_data_tab = _ptr64([rk.local.data for rk in ranks])
+                    nat_idx_tab = _ptr64([rk.local.indices for rk in ranks])
+                    nat_rowid_tab = _ptr64(rowid_loc)
+                    nat_b_tab = _ptr64(b_loc)
+                    nat_dinv_tab = _ptr64(dinv_loc)
+                    if incremental:
+                        nat_pn_tab = np.array(
+                            [int(sp.vals.size) for sp in splans],
+                            dtype=np.int64,
+                        )
+                        nat_rep_tab = _ptr64([t[0] for t in nat_plan_keep])
+                        nat_loc_tab = _ptr64([t[1] for t in nat_plan_keep])
+                        nat_val_tab = _ptr64([t[2] for t in nat_plan_keep])
+                        nat_base_tab = np.array(
+                            [int(sp.base) for sp in splans], dtype=np.int64
+                        )
+                        nat_span_tab = np.array(
+                            [int(sp.span) for sp in splans], dtype=np.int64
+                        )
+                        nat_binc_tab = _ptr64([t[3] for t in nat_plan_keep])
+                    else:
+                        # Without the residual scatter the kernel never
+                        # touches the plan tables; zeros suffice.
+                        nat_pn_tab = np.zeros(n_ranks, dtype=np.int64)
+                        nat_rep_tab = np.zeros(n_ranks, dtype=np.uint64)
+                        nat_loc_tab = nat_rep_tab
+                        nat_val_tab = nat_rep_tab
+                        nat_base_tab = nat_pn_tab
+                        nat_span_tab = nat_pn_tab
+                        nat_binc_tab = nat_rep_tab
+                    nat_batch_fn = nat.relax_batch
+
+                    def nat_relax_batch(members) -> None:
+                        """One compiled relax + commit call per batch."""
+                        nbm = len(members)
+                        nat_members[:nbm] = members
+                        nat_batch_fn(
+                            nbm, nat_members.ctypes.data, int(incremental),
+                            x_ptr, r_vec.ctypes.data,
+                            nat_pend_cat.ctypes.data, nat_m_tab.ctypes.data,
+                            nat_nnz_tab.ctypes.data, nat_rows_tab.ctypes.data,
+                            nat_lb_tab.ctypes.data, nat_data_tab.ctypes.data,
+                            nat_idx_tab.ctypes.data, nat_rowid_tab.ctypes.data,
+                            nat_b_tab.ctypes.data, nat_dinv_tab.ctypes.data,
+                            nat_pn_tab.ctypes.data, nat_rep_tab.ctypes.data,
+                            nat_loc_tab.ctypes.data, nat_val_tab.ctypes.data,
+                            nat_base_tab.ctypes.data, nat_span_tab.ctypes.data,
+                            nat_binc_tab.ctypes.data,
+                        )
+                        if perf is not None:
+                            perf.native_calls += 1
+                            perf.native_rows_relaxed += sum(
+                                nrows_loc[r] for r in members
+                            )
+                else:
+                    # Per-rank NumPy relax caches in batch coordinates:
+                    # compact columns and own-row positions in the
+                    # ``loc_parent`` buffer, rows and row spans in the
+                    # concatenated numbering. (rows, parent-pos, global
+                    # row) int triples and (compact col, global row)
+                    # pairs are stacked so a batch needs three
+                    # concatenations, not six; scatter-plan arrays
+                    # unpacked out of their slots.
+                    grow_off = np.zeros(n_ranks + 1, dtype=np.int64)
+                    np.cumsum(nrows_loc, out=grow_off[1:])
+                    st_dat = [rk.local.data for rk in ranks]
+                    i3 = [
+                        np.stack([
+                            rows_of[r],
+                            np.arange(int(lb_off[r]), int(lb_off[r]) + nrows_loc[r]),
+                            np.arange(int(grow_off[r]), int(grow_off[r + 1])),
+                        ])
+                        for r in range(n_ranks)
+                    ]
+                    i2 = [
+                        np.stack([
+                            lb_off[rk.rank] + rk.local.indices,
+                            grow_off[rk.rank] + rk.local._row_of_nnz,
+                        ])
+                        for rk in ranks
+                    ]
+                    if incremental:
+                        sp_rep = [sp.rep_idx for sp in splans]
+                        sp_loc = [sp.local for sp in splans]
+                        sp_val = [sp.vals for sp in splans]
+                        sp_base = [sp.base for sp in splans]
+                        sp_span = [sp.span for sp in splans]
+                        sp_n = [sp.vals.size for sp in splans]
                 cr_len = [cat_rows[r].size for r in range(n_ranks)]
                 tc_l: list = [[] for _ in range(n_ranks)]  # commit times
                 ts_l: list = [[] for _ in range(n_ranks)]  # read cursors
@@ -2220,49 +2212,38 @@ class DistributedJacobi:
                                 )
                     if gs_parts:
                         loc_parent[npcat(gs_parts)] = npcat(gv_parts)
-                    # Phase 2: one stacked relax for the whole batch
-                    # (identical machinery to the heap-driven stacked
-                    # path above), then one batched x commit — safe here
-                    # because turbo batches are never pushed back.
+                    # Phase 2: one stacked relax for the whole batch, then
+                    # one batched x commit — safe because the precomputed
+                    # order is final, so no member is ever re-run.
                     if use_native:
                         # Fused phase 2 + commit: one compiled call relaxes
                         # the members in cursor order and, member by member,
-                        # writes ``x`` and applies the incremental residual
-                        # scatter (mode 1). Turbo batches are never pushed
-                        # back and observation can only strike at the last
-                        # member, so the sequential per-member interleaving
-                        # is bitwise the phased NumPy path below.
-                        nat_relax_batch(
-                            b_r, 1 if incremental else 2, r_vec.ctypes.data
-                        )
+                        # writes ``x`` and (incremental residual mode)
+                        # applies the residual scatter. Observation can only
+                        # strike at the last member, so the sequential
+                        # per-member interleaving is bitwise the phased
+                        # NumPy path below.
+                        nat_relax_batch(b_r)
                         pend_cat = nat_pend_cat
                         seg = None
-                    elif nb == 1:
-                        b0 = b_r[0]
-                        rows_cat = rows_of[b0]
-                        st_pos_c = st_pos[b0]
-                        st_span_c = st_span[b0]
-                        st_idx_c = st_idx[b0]
-                        st_row_c = st_row[b0]
-                        st_dat_c = st_dat[b0]
                     else:
-                        i3c = npcat([i3[r] for r in b_r], axis=1)
+                        if nb == 1:
+                            i3c = i3[b_r[0]]
+                            i2c = i2[b_r[0]]
+                            st_dat_c = st_dat[b_r[0]]
+                        else:
+                            i3c = npcat([i3[r] for r in b_r], axis=1)
+                            i2c = npcat([i2[r] for r in b_r], axis=1)
+                            st_dat_c = npcat([st_dat[r] for r in b_r])
                         rows_cat = i3c[0]
-                        st_pos_c = i3c[1]
-                        st_span_c = i3c[2]
-                        i2c = npcat([i2[r] for r in b_r], axis=1)
-                        st_idx_c = i2c[0]
-                        st_row_c = i2c[1]
-                        st_dat_c = npcat([st_dat[r] for r in b_r])
-                    if not use_native:
                         own_cat = x.take(rows_cat)
-                        loc_parent[st_pos_c] = own_cat
-                        g = loc_parent.take(st_idx_c)
+                        loc_parent[i3c[1]] = own_cat
+                        g = loc_parent.take(i2c[0])
                         np.multiply(st_dat_c, g, out=g)
                         mv_all = np.bincount(
-                            st_row_c, weights=g, minlength=n_grows
+                            i2c[1], weights=g, minlength=n_grows
                         )
-                        mv_cat = mv_all.take(st_span_c)
+                        mv_cat = mv_all.take(i3c[2])
                         np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
                         np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
                         pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
@@ -2456,254 +2437,11 @@ class DistributedJacobi:
                     instrument=instrument,
                     tracer=tracer,
                     legacy_engine=legacy_engine,
-                    queue_backend=queue_backend,
                     delivery=delivery,
                     relax_backend="event",
                 )
         while block_mode and heap and not converged:
             ev = hpop(heap)
-            if stacked and ev[2] == _COMMIT and heap:
-                batch = [ev]
-                bt_pop[ev[3]] = ev[0]
-                cap = observe_every - commits_since_obs
-                while len(batch) < cap and heap and heap[0][2] == _COMMIT:
-                    nev = heap[0]
-                    cts = nev[4][0]
-                    ok = True
-                    for q in in_nbrs[nev[3]]:
-                        tq = bt_pop[q]
-                        if tq is not None and tq < cts:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    batch.append(hpop(heap))
-                    bt_pop[nev[3]] = nev[0]
-                for e in batch:
-                    bt_pop[e[3]] = None
-                # Never split a same-time tie group across the batch
-                # boundary: ties must sort by cursor *together*.
-                while len(batch) > 1 and heap and heap[0][0] == batch[-1][0]:
-                    hpush(heap, batch.pop())
-                if len(batch) > 1:
-                    batch.sort(key=lambda e: (e[0], e[4]))
-                    # Phase 1: every member's mailbox cut at its own
-                    # cursor. Intra-batch puts arrive after t1 and cannot
-                    # qualify, so flushing up front matches sequential
-                    # order (and is idempotent if a member is pushed back).
-                    for e in batch:
-                        brid = e[3]
-                        bts, bsv = e[4]
-                        w_slots: list = []
-                        w_vals: list = []
-                        for box, slots in in_boxes[brid]:
-                            if not box:
-                                continue
-                            if len(box) == 1:
-                                m = box[0]
-                                if m[0] < bts or (
-                                    m[0] == bts and m[1] < bsv
-                                ):
-                                    delivered += 1
-                                    w_slots.append(slots)
-                                    w_vals.append(m[2])
-                                    box.clear()
-                                continue
-                            best = None
-                            rest = None
-                            for m in box:
-                                if m[0] < bts or (m[0] == bts and m[1] < bsv):
-                                    delivered += 1
-                                    if best is None or m > best:
-                                        best = m
-                                elif rest is None:
-                                    rest = [m]
-                                else:
-                                    rest.append(m)
-                            if best is not None:
-                                w_slots.append(slots)
-                                w_vals.append(best[2])
-                                if rest is None:
-                                    box.clear()
-                                else:
-                                    box[:] = rest
-                        # In-edge slot sets are disjoint (each ghost
-                        # position has exactly one sender), so one fused
-                        # scatter is bitwise the per-edge stores.
-                        if w_vals and len(w_vals) == n_in[brid]:
-                            ghosts_of[brid][in_slot_cat[brid]] = (
-                                np.concatenate(w_vals)
-                            )
-                        else:
-                            gh = ghosts_of[brid]
-                            for sl, vv in zip(w_slots, w_vals):
-                                gh[sl] = vv
-                    # Phase 2: one stacked relax for the whole batch.
-                    rids = [e[3] for e in batch]
-                    if use_native:
-                        # Relax-only (mode 0): a member can still be pushed
-                        # back below, so commits stay per member in phase 3.
-                        # Each member's own rows stay staged in its
-                        # ``lb[:m]``, exactly where the per-member native
-                        # commit expects them.
-                        nat_relax_batch(rids, 0, 0)
-                        pend_cat = nat_pend_cat
-                    else:
-                        rows_cat = np.concatenate([rows_of[r] for r in rids])
-                        own_cat = x.take(rows_cat)
-                        loc_parent[
-                            np.concatenate([st_pos[r] for r in rids])
-                        ] = own_cat
-                        g = loc_parent.take(
-                            np.concatenate([st_idx[r] for r in rids])
-                        )
-                        np.multiply(
-                            np.concatenate([st_dat[r] for r in rids]), g,
-                            out=g
-                        )
-                        mv_all = np.bincount(
-                            np.concatenate([st_row[r] for r in rids]),
-                            weights=g,
-                            minlength=n_grows,
-                        )
-                        mv_cat = mv_all.take(
-                            np.concatenate([st_span[r] for r in rids])
-                        )
-                        np.subtract(b.take(rows_cat), mv_cat, out=mv_cat)
-                        np.multiply(dinv.take(rows_cat), mv_cat, out=mv_cat)
-                        pend_cat = np.add(own_cat, mv_cat, out=mv_cat)
-                    # Phase 3: commits in cursor order — x writes, residual
-                    # updates, RNG draws, put firing and next-event pushes
-                    # exactly as the sequential path interleaves them.
-                    off = 0
-                    nb = len(batch)
-                    for bi in range(nb):
-                        t, s, _bk, rid, payload = batch[bi]
-                        rk = ranks[rid]
-                        m = nrows_loc[rid]
-                        pb = pend_cat[off : off + m]
-                        if use_native:
-                            if incremental:
-                                # own rows live in lb[:m] from the mode-0
-                                # batch relax; pend is this member's
-                                # pend_cat segment.
-                                nat_commit(
-                                    *nat_commit_args[rid],
-                                    nat_pend_cat.ctypes.data + off * 8,
-                                    r_vec.ctypes.data,
-                                )
-                            else:
-                                x[rows_of[rid]] = pb
-                        else:
-                            own = own_cat[off : off + m]
-                            if incremental:
-                                np.subtract(pb, own, out=dx_buf[rid])
-                                x[rows_of[rid]] = pb
-                                splans[rid].apply(r_vec, dx_buf[rid])
-                            else:
-                                x[rows_of[rid]] = pb
-                        off += m
-                        rk.iterations += 1
-                        relaxations += nrows_loc[rid]
-                        t_end = t
-                        f = fbuf[rid]
-                        fent = fire[rid]
-                        if fent:
-                            vals = pb.take(cat_rows[rid])
-                            if f is not None:
-                                if sigma_net > 0:
-                                    j = net_j0
-                                    for box, mb, lo, hi in fent:
-                                        box.append(
-                                            (t + mb * f[j], seq, vals[lo:hi])
-                                        )
-                                        seq += 1
-                                        j += 1
-                                else:
-                                    for box, mb, lo, hi in fent:
-                                        box.append((t + mb, seq, vals[lo:hi]))
-                                        seq += 1
-                            else:
-                                rng = (
-                                    rk.rng if fstreams[rid] is None else None
-                                )
-                                if rng is not None and sigma_net > 0:
-                                    for box, mb, lo, hi in fent:
-                                        box.append(
-                                            (t + mb
-                                             * float(rng.lognormal(
-                                                 0.0, sigma_net)),
-                                             seq, vals[lo:hi])
-                                        )
-                                        seq += 1
-                                else:
-                                    for box, mb, lo, hi in fent:
-                                        box.append((t + mb, seq, vals[lo:hi]))
-                                        seq += 1
-                        tm.puts_sent += len(fent)
-                        commits_since_obs += 1
-                        if commits_since_obs >= observe_every:
-                            # Cap placement guarantees this is the batch's
-                            # last member, so earlier flushes stay valid.
-                            commits_since_obs = 0
-                            res = observe_residual()
-                            times.append(t)
-                            residuals.append(res)
-                            counts.append(relaxations)
-                            if res < tol:
-                                converged = True
-                                conv_cursor = (t, s)
-                                break
-                        if rk.iterations >= max_iterations:
-                            rk.stopped = True
-                            continue
-                        f = fbuf[rid]
-                        if f is not None:
-                            if sigma_m > 0:
-                                nts = t + ((ovbase * f[-1] + puts_const[rid])
-                                           * slow[rid] + const_extra[rid])
-                            else:
-                                nts = t + ((ovbase + puts_const[rid])
-                                           * slow[rid] + const_extra[rid])
-                        else:
-                            base = ovbase
-                            rng = rk.rng
-                            if fstreams[rid] is None and sigma_m > 0:
-                                base *= float(rng.lognormal(0.0, sigma_m))
-                            ce = const_extra[rid]
-                            if ce is None:
-                                ce = self.delay.extra_time(
-                                    rid, rk.iterations, rng
-                                )
-                            nts = t + ((base + puts_const[rid]) * slow[rid]
-                                       + ce)
-                        nsv = seq
-                        seq += 1
-                        st = fstreams[rid]
-                        if st is None:
-                            base = cbase[rid]
-                            if sigma_m > 0:
-                                base *= float(rk.rng.lognormal(0.0, sigma_m))
-                            nct = nts + base * slow[rid]
-                        elif type(st) is tuple:
-                            nct = nts + cbase[rid] * slow[rid]
-                        else:
-                            fl = fbuf[rid] = st.next_step()
-                            if sigma_m > 0:
-                                nct = nts + (cbase[rid] * fl[0]) * slow[rid]
-                            else:
-                                nct = nts + cbase[rid] * slow[rid]
-                        hpush(heap, (nct, seq, _COMMIT, rid, (nts, nsv)))
-                        seq += 1
-                        # If the event just pushed precedes the next batch
-                        # member, sequential order would pop it first: push
-                        # the unprocessed tail back (their flushes are
-                        # idempotent, their relax results pure scratch).
-                        if bi + 1 < nb and nct < batch[bi + 1][0]:
-                            for bj in range(nb - 1, bi, -1):
-                                hpush(heap, batch[bj])
-                            break
-                    continue
             if heap and heap[0][0] == ev[0]:
                 tb = ev[0]
                 run = [ev]

@@ -4,32 +4,22 @@ The seed's :class:`~repro.runtime.events.EventQueue` stores ``(time, seq,
 payload)`` tuples in a ``heapq``, where ``payload`` is an ad-hoc Python
 tuple allocated per event. This module replaces it on the simulators' hot
 path with *typed* events — an int-coded kind, an int agent id, and an
-optional object slot for the rare payload-carrying messages — and two
-interchangeable backends:
+optional object slot for the rare payload-carrying messages — held by one
+queue:
 
 :class:`HeapEventQueue`
     The same C-implemented ``heapq`` underneath, but holding flat typed
     tuples ``(time, seq, kind, agent, obj)`` — no nested payload tuple per
-    event. This is the default backend: at the pending-set sizes the
-    machine simulators reach (one in-flight event per thread/rank plus
-    in-flight messages, i.e. tens to a few thousand), CPython's C heap
-    beats any Python-level structure.
+    event. At the pending-set sizes the machine simulators reach (one
+    in-flight event per thread/rank plus in-flight messages, i.e. tens to
+    a few thousand), CPython's C heap beats any Python-level structure; a
+    bucket queue over NumPy slot arrays measured 2-3x slower at 256 and
+    1024 ranks.
 
-:class:`CalendarEventQueue`
-    A calendar (bucket) queue over **preallocated NumPy slot arrays**
-    (times, seqs, kinds, agents, plus a Python list for the rare object
-    payloads). Events are hashed into day buckets by ``floor(t / width)``;
-    the current day is drained through a lazily sorted *active* list, and
-    the bucket count/width recalibrate as the queue grows. Push and pop
-    are O(1) amortized independent of the pending count, which is the
-    regime that matters when the agent count grows past the heap's
-    comfort zone.
-
-Both backends guarantee the **identical pop order** — sorted by
-``(time, seq)`` with ``seq`` the global push counter — so a simulation is
-bit-identical whichever backend schedules it (property-tested in
-``tests/runtime/test_engine.py``). Both reject NaN and past-time pushes
-exactly like the legacy queue.
+Pop order is sorted by ``(time, seq)`` with ``seq`` the global push
+counter — the legacy queue's order, property-tested against a reference
+heap in ``tests/runtime/test_engine.py`` — and NaN and past-time pushes
+are rejected exactly like the legacy queue.
 
 Batched dispatch
 ----------------
@@ -58,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
 
 import numpy as np
 
@@ -66,24 +55,10 @@ from repro.util.errors import SimulationError
 
 __all__ = [
     "HeapEventQueue",
-    "CalendarEventQueue",
     "JitterStream",
     "NormalStream",
     "PatternJitterStream",
-    "make_event_queue",
 ]
-
-#: Pending-set size above which ``make_event_queue("auto")`` picks the
-#: calendar backend. Below it the C-implemented heap wins (measured in
-#: ``benchmarks/bench_engine.py``); the machine simulators' pending sets
-#: are O(agents + in-flight messages), so they stay on the heap until the
-#: agent count is well past anything in the paper.
-AUTO_CALENDAR_THRESHOLD = 4096
-
-#: Virtual day assigned to events too far in the future for exact day
-#: arithmetic (including ``t = inf``); they sort among themselves by
-#: ``(time, seq)`` once every nearer day has drained.
-_FAR_DAY = 1 << 62
 
 
 class HeapEventQueue:
@@ -164,282 +139,6 @@ class HeapEventQueue:
         which are order-independent).
         """
         return ((item[2], item[3], item[4]) for item in self._heap)
-
-
-class CalendarEventQueue:
-    """Calendar queue backend over preallocated NumPy slot arrays.
-
-    Storage is slot-based: ``times/seqs/kinds/agents/days`` are parallel
-    NumPy arrays (plus a plain list for object payloads); a free list
-    recycles slots, and the arrays double when full. Buckets hold slot ids
-    for events whose day ``floor(t / width)`` maps onto them modulo the
-    bucket count; the current day's events live in a sorted *active* list
-    consumed by an index pointer, so a pop is one list read. A push into
-    the current day bisect-inserts into the active list; pushes into
-    future days append to a bucket in O(1).
-
-    When a day drains, the queue scans forward bucket by bucket; if a full
-    cycle of buckets turns up nothing (a sparse far-future queue), it
-    jumps straight to the earliest pending day via one vectorized min.
-    When the pending count outgrows the bucket count, the queue rebuilds
-    with more buckets and a width recalibrated from the mean gap of the
-    earliest pending times (the classic calendar-queue heuristic).
-    """
-
-    __slots__ = (
-        "_times", "_seqs", "_kinds", "_agents", "_days", "_objs",
-        "_free", "_cap", "_buckets", "_nb", "_width", "_inv_width",
-        "_n", "_seq", "_now", "_active", "_ai", "_cur_day",
-    )
-
-    def __init__(self, capacity: int = 256, n_buckets: int = 64,
-                 bucket_width: float = 1.0e-6):
-        cap = max(16, int(capacity))
-        self._times = np.empty(cap, dtype=np.float64)
-        self._seqs = np.empty(cap, dtype=np.int64)
-        self._kinds = np.empty(cap, dtype=np.int64)
-        self._agents = np.empty(cap, dtype=np.int64)
-        self._days = np.empty(cap, dtype=np.int64)
-        self._objs = [None] * cap
-        self._free = list(range(cap - 1, -1, -1))
-        self._cap = cap
-        self._nb = max(4, int(n_buckets))
-        self._buckets = [[] for _ in range(self._nb)]
-        if not (bucket_width > 0) or not math.isfinite(bucket_width):
-            raise ValueError(f"bucket_width must be positive and finite, got {bucket_width}")
-        self._width = float(bucket_width)
-        self._inv_width = 1.0 / self._width
-        self._n = 0
-        self._seq = 0
-        self._now = 0.0
-        self._active = []
-        self._ai = 0
-        self._cur_day = 0
-
-    # -- invariants ----------------------------------------------------
-    # * every pending event has time >= _now (push rejects the past);
-    # * _active holds, sorted by (time, seq), exactly the pending events
-    #   with day <= _cur_day (consumed entries are _active[:_ai]);
-    # * buckets hold only events with day > _cur_day, so the head of the
-    #   active list is always the global minimum.
-
-    @property
-    def now(self) -> float:
-        """Time of the most recently popped event (0.0 initially)."""
-        return self._now
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def _day_of(self, time: float) -> int:
-        d = time * self._inv_width
-        return int(d) if d < _FAR_DAY else _FAR_DAY
-
-    def _grow(self) -> None:
-        old = self._cap
-        new = old * 2
-        for name in ("_times", "_seqs", "_kinds", "_agents", "_days"):
-            arr = getattr(self, name)
-            bigger = np.empty(new, dtype=arr.dtype)
-            bigger[:old] = arr
-            setattr(self, name, bigger)
-        self._objs.extend([None] * old)
-        self._free.extend(range(new - 1, old - 1, -1))
-        self._cap = new
-
-    def _sort_key(self, slot: int):
-        return (self._times[slot], self._seqs[slot])
-
-    def _pending_slots(self) -> list:
-        slots = self._active[self._ai:]
-        for bucket in self._buckets:
-            slots.extend(bucket)
-        return slots
-
-    def _rebuild(self) -> None:
-        """Grow the bucket array and recalibrate the day width."""
-        slots = self._pending_slots()
-        nb = self._nb
-        while self._n > 4 * nb:
-            nb *= 2
-        times = self._times[np.array(slots, dtype=np.int64)]
-        finite = times[np.isfinite(times)]
-        if finite.size >= 2:
-            head = np.sort(finite)[: min(finite.size, 256)]
-            gaps = np.diff(head)
-            gaps = gaps[gaps > 0]
-            if gaps.size:
-                width = 2.0 * float(gaps.mean())
-                if width > 0 and math.isfinite(width):
-                    self._width = width
-                    self._inv_width = 1.0 / width
-        self._nb = nb
-        self._buckets = [[] for _ in range(nb)]
-        self._active = []
-        self._ai = 0
-        self._cur_day = self._day_of(self._now)
-        days = self._days
-        inv = self._inv_width
-        for s in slots:
-            t = self._times[s]
-            d = t * inv
-            day = int(d) if d < _FAR_DAY else _FAR_DAY
-            days[s] = day
-            if day <= self._cur_day:
-                insort(self._active, s, key=self._sort_key)
-            else:
-                self._buckets[day % nb].append(s)
-
-    def push(self, time: float, kind: int, agent: int, obj=None) -> None:
-        """Schedule a typed event at ``time`` (NaN/past rejected)."""
-        if math.isnan(time):
-            raise SimulationError(
-                f"cannot schedule event at NaN time (kind={kind}, agent={agent})"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
-        if not self._free:
-            self._grow()
-        s = self._free.pop()
-        self._times[s] = time
-        self._seqs[s] = self._seq
-        self._kinds[s] = kind
-        self._agents[s] = agent
-        self._objs[s] = obj
-        self._seq += 1
-        day = self._day_of(time)
-        self._days[s] = day
-        if day <= self._cur_day:
-            # Lands in (or before) the day being drained: keep the active
-            # list sorted. lo=_ai: the insert point can never precede the
-            # consumption pointer because time >= now.
-            insort(self._active, s, lo=self._ai, key=self._sort_key)
-        else:
-            self._buckets[day % self._nb].append(s)
-        self._n += 1
-        if self._n > 4 * self._nb:
-            self._rebuild()
-
-    def _advance_day(self) -> bool:
-        """Load the next nonempty day into the active list."""
-        self._active = []
-        self._ai = 0
-        if self._n == 0:
-            return False
-        nb = self._nb
-        buckets = self._buckets
-        days = self._days
-        day = self._cur_day + 1
-        scanned = 0
-        while True:
-            bucket = buckets[day % nb]
-            if bucket:
-                mine = [s for s in bucket if days[s] == day]
-                if mine:
-                    if len(mine) == len(bucket):
-                        bucket.clear()
-                    else:
-                        bucket[:] = [s for s in bucket if days[s] != day]
-                    mine.sort(key=self._sort_key)
-                    self._active = mine
-                    self._cur_day = day
-                    return True
-            day += 1
-            scanned += 1
-            if scanned >= nb:
-                # A whole bucket cycle of empty days: jump straight to the
-                # earliest pending day (one vectorized min over the slots).
-                slots = np.array(self._pending_slots(), dtype=np.int64)
-                day = int(days[slots].min())
-                scanned = 0
-
-    def _ensure_active(self) -> bool:
-        if self._ai < len(self._active):
-            return True
-        return self._advance_day()
-
-    def pop(self):
-        """Remove and return the earliest ``(time, kind, agent, obj)``."""
-        if not self._ensure_active():
-            raise SimulationError("pop from an empty event queue")
-        s = self._active[self._ai]
-        self._ai += 1
-        self._n -= 1
-        time = float(self._times[s])
-        self._now = time
-        obj = self._objs[s]
-        self._objs[s] = None
-        self._free.append(s)
-        return time, int(self._kinds[s]), int(self._agents[s]), obj
-
-    def pop_batch(self):
-        """Pop the maximal consecutive run sharing the head's (time, kind).
-
-        Equal times share a day, so the whole run is already loaded in the
-        active list — the batch is a contiguous slice of it.
-        """
-        if not self._ensure_active():
-            raise SimulationError("pop from an empty event queue")
-        active = self._active
-        ai = self._ai
-        s = active[ai]
-        times, kinds, agents, objs = self._times, self._kinds, self._agents, self._objs
-        time = float(times[s])
-        kind = int(kinds[s])
-        end = ai + 1
-        n_active = len(active)
-        while end < n_active:
-            s2 = active[end]
-            if times[s2] != time or kinds[s2] != kind:
-                break
-            end += 1
-        batch = active[ai:end]
-        self._ai = end
-        self._n -= len(batch)
-        self._now = time
-        out_agents = [int(agents[s3]) for s3 in batch]
-        out_objs = [objs[s3] for s3 in batch]
-        for s3 in batch:
-            objs[s3] = None
-        self._free.extend(batch)
-        return time, kind, out_agents, out_objs
-
-    def peek_time(self) -> float:
-        """Time of the earliest pending event (inf when empty)."""
-        if not self._ensure_active():
-            return float("inf")
-        return float(self._times[self._active[self._ai]])
-
-    def pending_payloads(self):
-        """Iterate ``(kind, agent, obj)`` of all pending events (unordered)."""
-        kinds, agents, objs = self._kinds, self._agents, self._objs
-        for s in self._pending_slots():
-            yield int(kinds[s]), int(agents[s]), objs[s]
-
-
-def make_event_queue(backend: str = "auto", size_hint: int = 0, **kwargs):
-    """Build an event queue backend.
-
-    ``backend`` is ``"heap"``, ``"calendar"``, or ``"auto"`` — the latter
-    picks the heap below :data:`AUTO_CALENDAR_THRESHOLD` expected pending
-    events (``size_hint``) and the calendar above it. Both produce the
-    identical pop order, so the choice is purely a performance knob.
-    """
-    if backend == "auto":
-        backend = "calendar" if size_hint >= AUTO_CALENDAR_THRESHOLD else "heap"
-    if backend == "heap":
-        return HeapEventQueue()
-    if backend == "calendar":
-        kwargs.setdefault("capacity", max(16, 2 * size_hint))
-        return CalendarEventQueue(**kwargs)
-    raise ValueError(
-        f"backend must be 'auto', 'heap' or 'calendar', got {backend!r}"
-    )
 
 
 class JitterStream:

@@ -50,7 +50,7 @@ from repro.methods import make_method
 from repro.methods.kernels import sor_block_pending, sor_step_dense
 from repro.perf.instrument import PerfCounters
 from repro.runtime.delays import CompositeDelay, DelayModel, NO_DELAY, StragglerDelay
-from repro.runtime.engine import JitterStream, make_event_queue
+from repro.runtime.engine import HeapEventQueue, JitterStream
 from repro.runtime.machine import KNL, MachineModel
 from repro.runtime.results import FaultTelemetry, SimulationResult
 from repro.util.errors import ShapeError, SimulationError, SingularMatrixError
@@ -219,7 +219,6 @@ class SharedMemoryJacobi:
         instrument: bool = False,
         tracer=None,
         legacy_engine: bool = False,
-        queue_backend: str = "auto",
     ) -> SimulationResult:
         """Asynchronous (racy) execution.
 
@@ -252,7 +251,7 @@ class SharedMemoryJacobi:
         hot loop untouched.
 
         The event loop runs on :mod:`repro.runtime.engine`: typed events
-        on a preallocated queue, relax kernels writing into reused
+        on a binary heap, relax kernels writing into reused
         per-thread buffers, a precompiled column-scatter plan for the
         incremental residual, chunked jitter streams, and batched
         dispatch — events sharing a ``(time, kind)`` pop as one slice,
@@ -260,8 +259,6 @@ class SharedMemoryJacobi:
         ``bincount``. Trajectories are bit-identical to the pre-engine
         implementation, which remains available for one release as
         ``legacy_engine=True`` (the equivalence-test oracle).
-        ``queue_backend`` selects the engine queue ("auto", "heap", or
-        "calendar"; pop order is identical by construction).
         """
         if legacy_engine:
             from repro.runtime.legacy import shared_run_async
@@ -414,7 +411,7 @@ class SharedMemoryJacobi:
         # Per-core run queues implementing iteration-granularity round-robin.
         core_queue = [deque() for _ in range(self.n_cores)]
         core_busy = [False] * self.n_cores
-        queue = make_event_queue(queue_backend, size_hint=2 * T)
+        queue = HeapEventQueue()
 
         def request_run(th: _Thread, t: float) -> None:
             """Thread asks to run its next iteration at time t."""

@@ -1,6 +1,6 @@
-"""Event-engine unit tests: queue backends, jitter streams, allocations.
+"""Event-engine unit tests: the heap queue, jitter streams, allocations.
 
-The engine's contract is *bit-identity*: both queue backends must pop in
+The engine's contract is *bit-identity*: the heap queue must pop in
 exactly the reference heapq order (time, then insertion seq), and the
 chunked jitter streams must consume a generator exactly like the scalar
 draws they replace. These tests pin that contract down with randomized
@@ -16,16 +16,14 @@ import pytest
 from repro.matrices.laplacian import fd_laplacian_2d
 from repro.runtime.distributed import DistributedJacobi
 from repro.runtime.engine import (
-    CalendarEventQueue,
     HeapEventQueue,
     JitterStream,
     NormalStream,
     PatternJitterStream,
-    make_event_queue,
 )
 from repro.util.errors import SimulationError
 
-BACKENDS = [HeapEventQueue, CalendarEventQueue]
+BACKENDS = [HeapEventQueue]
 
 
 class _ReferenceQueue:
@@ -138,47 +136,25 @@ class TestQueueMatchesReference:
         assert q.peek_time() == 3.0
 
 
-class TestCalendarInternals:
-    def test_growth_past_capacity(self):
-        q = CalendarEventQueue(capacity=16, n_buckets=4)
-        ref = _ReferenceQueue()
-        rng = np.random.default_rng(3)
-        for i in range(500):  # forces several _grow()/_rebuild() cycles
-            t = float(rng.random()) * 1e-3
-            q.push(t, 0, i)
-            ref.push(t, 0, i)
-        assert [q.pop() for _ in range(500)] == [ref.pop() for _ in range(500)]
-
-    def test_sparse_far_future_jump(self):
-        """Events many empty days ahead are found via the min-jump."""
-        q = CalendarEventQueue(n_buckets=4, bucket_width=1e-6)
-        q.push(0.0, 0, 0)
-        q.push(5.0, 1, 1)  # ~5e6 days later
-        q.push(9.0, 2, 2)
-        assert q.pop() == (0.0, 0, 0, None)
-        assert q.pop() == (5.0, 1, 1, None)
-        assert q.pop() == (9.0, 2, 2, None)
-
-    def test_infinite_time_sorts_last(self):
-        q = CalendarEventQueue()
-        q.push(float("inf"), 9, 0)
-        q.push(1.0, 0, 1)
-        assert q.pop()[2] == 1
-        assert q.pop() == (float("inf"), 9, 0, None)
-
-
-class TestMakeEventQueue:
-    def test_backend_selection(self):
-        assert isinstance(make_event_queue("heap"), HeapEventQueue)
-        assert isinstance(make_event_queue("calendar"), CalendarEventQueue)
-        assert isinstance(make_event_queue("auto", size_hint=2), HeapEventQueue)
-        assert isinstance(
-            make_event_queue("auto", size_hint=1 << 20), CalendarEventQueue
-        )
+class TestQueueBackendOption:
+    """``queue_backend`` survives on the distributed simulator only as a
+    compatibility spelling of the one heap queue."""
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            make_event_queue("fifo")
+        sim = DistributedJacobi(fd_laplacian_2d(6, 6), np.ones(36), n_ranks=4, seed=1)
+        with pytest.raises(ValueError, match="queue_backend"):
+            sim.run_async(max_iterations=5, queue_backend="calendar")
+
+    def test_auto_and_heap_are_synonyms(self):
+        A = fd_laplacian_2d(6, 6)
+        runs = [
+            DistributedJacobi(A, np.ones(36), n_ranks=4, seed=1).run_async(
+                max_iterations=10, queue_backend=backend
+            )
+            for backend in ("auto", "heap")
+        ]
+        assert runs[0].residual_norms == runs[1].residual_norms
+        assert np.array_equal(runs[0].x, runs[1].x)
 
 
 class TestStreamsBitIdentical:

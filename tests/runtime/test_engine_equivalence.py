@@ -102,7 +102,6 @@ DIST_ASYNC_CASES = {
     ),
     "omega": (dict(omega=0.8), dict()),
     "instrumented": (dict(), dict(instrument=True)),
-    "calendar_backend": (dict(), dict(queue_backend="calendar")),
 }
 
 
@@ -152,7 +151,6 @@ SHARED_CASES = {
     ),
     "full_residual": (dict(n_threads=8), dict(residual_mode="full")),
     "instrumented": (dict(n_threads=8), dict(instrument=True)),
-    "calendar_backend": (dict(n_threads=8), dict(queue_backend="calendar")),
 }
 
 

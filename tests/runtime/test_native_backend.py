@@ -21,6 +21,7 @@ import pytest
 from repro.matrices.laplacian import fd_laplacian_2d
 from repro.methods import make_method
 from repro.perf import native
+from repro.runtime.delays import ConstantDelay
 from repro.runtime.distributed import DistributedJacobi
 from repro.util.rng import as_rng
 from tests.runtime.equivalence import (
@@ -130,6 +131,45 @@ def _turbo_run(relax_backend, **extra):
 def test_native_turbo_bit_identical_to_block(extra):
     """At turbo rank counts the fused batch kernel matches block bitwise."""
     assert_results_identical(_turbo_run("native", **extra), _turbo_run("block", **extra))
+
+
+#: Turbo-regime grids for the oracle comparison: (grid side, ranks,
+#: iterations). 40x40 at 1024 ranks covers the large-fleet regime of the
+#: Fig 8 rank sweeps at a size the legacy oracle can still afford.
+TURBO_ORACLE_GRIDS = {"16x16-r128": (16, 128, 60), "40x40-r1024": (40, 1024, 4)}
+
+
+@pytest.mark.parametrize("residual_mode", ["incremental", "full"])
+@pytest.mark.parametrize("straggler", [False, True], ids=["plain", "straggler"])
+@pytest.mark.parametrize("grid", TURBO_ORACLE_GRIDS)
+def test_turbo_bit_identical_to_legacy(grid, straggler, residual_mode):
+    """The turbo engine (native or NumPy) and the block and event loops all
+    reproduce the legacy oracle bitwise at turbo rank counts.
+
+    ``"auto"`` runs turbo on the compiled kernels when they load and on
+    NumPy otherwise; ``"block"`` runs NumPy turbo; ``"event"`` the two-event
+    dispatcher. A 2 ms straggler on rank 64 skews the timelines apart.
+    """
+    side, ranks, iterations = TURBO_ORACLE_GRIDS[grid]
+    A_t = fd_laplacian_2d(side, side)
+    b = as_rng(7).uniform(-1, 1, A_t.shape[0])
+    delay = {"delay": ConstantDelay({64: 2e-3})} if straggler else {}
+
+    def run(**kwargs):
+        sim = DistributedJacobi(
+            A_t, b, n_ranks=ranks, partition="contiguous", seed=7, **delay
+        )
+        return sim.run_async(
+            tol=1e-8,
+            max_iterations=iterations,
+            observe_every=ranks,
+            residual_mode=residual_mode,
+            **kwargs,
+        )
+
+    oracle = run(legacy_engine=True)
+    for backend in ("auto", "block", "event"):
+        assert_results_identical(run(relax_backend=backend), oracle)
 
 
 @needs_native
